@@ -50,6 +50,12 @@ void PowerSandbox::OnOwnershipEnd(HwComponent hw, TimeNs when) {
   PSBOX_CHECK_GT(compose_depth_[i], 0);
   PSBOX_CHECK_GE(since, 0);
   if (--compose_depth_[i] == 0) {
+    // An Add that starts before the last interval can merge into intervals
+    // the read prefix already folded; only appends and last-interval
+    // extensions leave it valid.
+    if (!owned_[i].empty() && since < owned_[i].intervals().back().begin) {
+      DropFolded(hw);
+    }
     owned_[i].Add(since, when);
     since = -1;
   }
@@ -64,6 +70,7 @@ void PowerSandbox::ResetMeter(TimeNs now) {
   detail_base_.fill(EnergyDetail{});
   direct_base_.fill(0.0);
   direct_from_.fill(now);
+  folded_.clear();
 }
 
 bool PowerSandbox::OwnedAt(HwComponent hw, TimeNs t) const {
@@ -149,6 +156,19 @@ void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* fa
   }
 }
 
+PowerSandbox::FoldedPrefix* PowerSandbox::FindFolded(HwComponent hw) const {
+  for (FoldedPrefix& p : folded_) {
+    if (p.hw == hw) {
+      return &p;
+    }
+  }
+  return nullptr;
+}
+
+void PowerSandbox::DropFolded(HwComponent hw) {
+  std::erase_if(folded_, [hw](const FoldedPrefix& p) { return p.hw == hw; });
+}
+
 PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
     const PowerRail& rail, HwComponent hw, TimeNs now,
     const FaultInjector* faults) const {
@@ -161,8 +181,35 @@ PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
   if (now <= t0) {
     return d;
   }
-  for (const auto& iv : owned_[static_cast<size_t>(hw)].intervals()) {
-    AccumulateSpan(rail, faults, std::max(iv.begin, t0), std::min(iv.end, now), &d);
+  // Resume from the folded prefix unless |now| cuts into it (a read of the
+  // past), then fold further closed intervals ending by |now|. Every span is
+  // added in interval order onto one accumulator, as a from-scratch sum
+  // would, so the result is bit-identical.
+  const auto& intervals = owned_[static_cast<size_t>(hw)].intervals();
+  size_t k = 0;
+  if (intervals.size() > 1) {  // the last interval is never folded
+    FoldedPrefix* folded = FindFolded(hw);
+    const size_t known = folded != nullptr ? folded->count : 0;
+    if (known > 0 && intervals[known - 1].end <= now) {
+      d = folded->sum;
+      k = known;
+    }
+    for (; k + 1 < intervals.size() && intervals[k].end <= now; ++k) {
+      AccumulateSpan(rail, faults, std::max(intervals[k].begin, t0),
+                     intervals[k].end, &d);
+    }
+    if (k > known) {
+      if (folded == nullptr) {
+        folded = &folded_.emplace_back();
+        folded->hw = hw;
+      }
+      folded->count = k;
+      folded->sum = d;
+    }
+  }
+  for (; k < intervals.size(); ++k) {
+    AccumulateSpan(rail, faults, std::max(intervals[k].begin, t0),
+                   std::min(intervals[k].end, now), &d);
   }
   const TimeNs since = open_since_[static_cast<size_t>(hw)];
   if (since >= 0 && since < now) {
@@ -281,7 +328,17 @@ void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& ra
     }
     AccumulateSpan(rail, faults, b, iv.end, &detail_base_[i]);
   }
-  owned_[i].TrimBefore(horizon);
+  // The base now continues the same running sum as the read prefix, so the
+  // prefix only shifts; once the base has caught up with it, the base is the
+  // prefix.
+  const size_t dropped = owned_[i].TrimBefore(horizon);
+  if (FoldedPrefix* folded = FindFolded(hw); folded != nullptr) {
+    if (dropped >= folded->count) {
+      DropFolded(hw);
+    } else {
+      folded->count -= dropped;
+    }
+  }
 }
 
 void PowerSandbox::BankDirectEnergy(HwComponent hw, Joules energy, TimeNs new_from) {
@@ -356,6 +413,7 @@ void PowerSandbox::RestoreState(SnapshotReader& r) {
   }
   samples_lost_ = r.U64();
   transferred_base_ = r.F64();
+  folded_.clear();
   if (static_cast<PsboxId>(r.I64()) != parent_) {
     r.Fail("sandbox parent mismatch between snapshot and replayed creation");
     return;

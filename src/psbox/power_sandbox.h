@@ -17,6 +17,13 @@
 // dropout-estimated spans separately — is folded into per-component base
 // accumulators, so psbox_read stays exact (and bit-identical to the
 // untrimmed computation) while memory stays bounded.
+//
+// Folded read prefix: psbox_read re-integrating every owned interval would
+// cost O(history) per read. Each balloon-metered component a box is read on
+// keeps a running EnergyDetail over its leading closed intervals (all but
+// the last, which IntervalSet::Add may still extend), so a read adds only
+// the unfolded tail and the open span — the same left-to-right summation, so
+// every reading stays bit-identical.
 
 #ifndef SRC_PSBOX_POWER_SANDBOX_H_
 #define SRC_PSBOX_POWER_SANDBOX_H_
@@ -148,6 +155,14 @@ class PowerSandbox {
   void TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
                  const FaultInjector* faults);
 
+  // Whether |hw|'s rail history still matters to this box: an open balloon
+  // or a retained owned interval. Without either, RetainFloor returns the
+  // desired horizon and TrimOwned is a no-op.
+  bool HoldsHistory(HwComponent hw) const {
+    const size_t i = static_cast<size_t>(hw);
+    return open_since_[i] >= 0 || !owned_[i].empty();
+  }
+
   // Direct-metered components: banks [direct_from, horizon) energy (computed
   // by the caller from the domain) and advances the integration start.
   TimeNs direct_from(HwComponent hw) const {
@@ -161,7 +176,8 @@ class PowerSandbox {
   // Advances the sample cursor to the first grid point at or past |horizon|
   // (keeping the grid phase), dropping the backlog a lagging reader never
   // drained — the virtual meter behaves as a bounded ring buffer under
-  // retention. Returns the number of samples dropped.
+  // retention. Returns the number of samples dropped. Drops telescope: a
+  // run of drops to horizons h1 <= h2 <= ... equals one drop to the last.
   uint64_t DropSampleBacklogBefore(TimeNs horizon, DurationNs period);
   uint64_t samples_lost() const { return samples_lost_; }
 
@@ -187,6 +203,17 @@ class PowerSandbox {
   // off the rail and accumulating dropped pieces as estimation time.
   void AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
                       TimeNs b, TimeNs e, EnergyDetail* d) const;
+
+  // Running ObservedEnergyDetail sum for one component: detail_base_ plus
+  // the spans of owned_[hw].intervals()[0, count), count >= 1. A component
+  // without an entry reads from the base alone.
+  struct FoldedPrefix {
+    HwComponent hw;
+    size_t count;
+    EnergyDetail sum;
+  };
+  FoldedPrefix* FindFolded(HwComponent hw) const;
+  void DropFolded(HwComponent hw);
 
   PsboxId id_;
   AppId app_;
@@ -218,6 +245,9 @@ class PowerSandbox {
   std::array<TimeNs, kNumHwComponents> direct_from_;
   uint64_t samples_lost_ = 0;
   Joules transferred_base_ = 0.0;
+  // Derived read cache (never serialised); entries exist only for
+  // components the box was read on, i.e. bound and balloon-metered.
+  mutable std::vector<FoldedPrefix> folded_;
 };
 
 }  // namespace psbox

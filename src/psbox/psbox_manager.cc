@@ -17,6 +17,13 @@ PsboxManager::PsboxManager(Kernel* kernel)
 PsboxManager::~PsboxManager() = default;
 
 PowerSandbox& PsboxManager::sandbox(int box) {
+  PowerSandbox& sb = Box(box);
+  sb.DropSampleBacklogBefore(backlog_horizon_,
+                             kernel_->board().config().meter.sample_period);
+  return sb;
+}
+
+PowerSandbox& PsboxManager::Box(int box) {
   PSBOX_CHECK_GE(box, 0);
   PSBOX_CHECK_LT(static_cast<size_t>(box), boxes_.size());
   return *boxes_[static_cast<size_t>(box)];
@@ -41,7 +48,7 @@ int PsboxManager::CreateNestedBox(AppId app, const std::vector<HwComponent>& hw,
   // child is granted composes onto the ancestors, which requires them bound
   // to the same component.
   for (HwComponent component : hw) {
-    PSBOX_CHECK(sandbox(parent).BoundTo(component));
+    PSBOX_CHECK(Box(parent).BoundTo(component));
   }
   return CreateBoxInternal(app, hw, static_cast<PsboxId>(parent), budget,
                            /*claim=*/true);
@@ -53,18 +60,24 @@ int PsboxManager::CreateBoxInternal(AppId app, const std::vector<HwComponent>& h
   const PsboxId id = static_cast<PsboxId>(boxes_.size());
   Joules granted = budget;
   if (claim && parent >= 0) {
-    granted = sandbox(parent).ClaimChildBudget(budget);
+    granted = Box(parent).ClaimChildBudget(budget);
   }
   boxes_.push_back(
       std::make_unique<PowerSandbox>(id, app, hw, kernel_->Now(), parent, granted));
   if (claim && parent >= 0) {
     boxes_.back()->set_budget_claimed(true);
   }
+  is_held_.push_back(false);
   for (HwComponent component : hw) {
     // Each bound resource domain does its one-time per-box setup (the CPU
     // domain creates the task group and DVFS context; direct-metered
     // domains bind nothing).
     kernel_->domain(component).BindBox(app, id);
+    // Direct-metered energy is banked on every trim, so such boxes never
+    // leave the trim path.
+    if (kernel_->domain(component).direct_metered()) {
+      Hold(id);
+    }
   }
   // An evacuated app resumes billing from its transferred value.
   auto staged = staged_transfers_.find(app);
@@ -89,14 +102,14 @@ void PsboxManager::StageTransferredEnergy(AppId app, Joules energy) {
 }
 
 void PsboxManager::EnterBox(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   if (sb.inside()) {
     return;
   }
   // Re-entering a nested box re-claims its budget slice from the tenant
   // (clamped to what siblings left available in the meantime).
   if (sb.parent() >= 0 && !sb.budget_claimed()) {
-    sb.set_budget(sandbox(sb.parent()).ClaimChildBudget(sb.budget()));
+    sb.set_budget(Box(sb.parent()).ClaimChildBudget(sb.budget()));
     sb.set_budget_claimed(true);
   }
   sb.set_inside(true);
@@ -107,7 +120,7 @@ void PsboxManager::EnterBox(int box) {
 }
 
 void PsboxManager::ApplyEnter(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   if (!sb.inside()) {
     return;  // left again before the switch applied
   }
@@ -117,13 +130,13 @@ void PsboxManager::ApplyEnter(int box) {
 }
 
 void PsboxManager::LeaveBox(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   if (!sb.inside()) {
     return;
   }
   // A leaving child returns its budget slice to the tenant.
   if (sb.parent() >= 0 && sb.budget_claimed()) {
-    sandbox(sb.parent()).ReleaseChildBudget(sb.budget());
+    Box(sb.parent()).ReleaseChildBudget(sb.budget());
     sb.set_budget_claimed(false);
   }
   sb.set_inside(false);
@@ -131,7 +144,7 @@ void PsboxManager::LeaveBox(int box) {
 }
 
 void PsboxManager::ApplyLeave(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   if (sb.inside()) {
     return;  // re-entered before the switch applied
   }
@@ -167,7 +180,7 @@ PowerSandbox::EnergyDetail PsboxManager::ComponentEnergyDetail(PowerSandbox& sb,
 }
 
 Joules PsboxManager::ReadEnergy(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   Joules total = sb.transferred_base();
   for (HwComponent hw : sb.hardware()) {
     total += ComponentEnergy(sb, hw, kernel_->Now());
@@ -176,13 +189,13 @@ Joules PsboxManager::ReadEnergy(int box) {
 }
 
 Joules PsboxManager::ReadEnergyFor(int box, HwComponent hw) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   PSBOX_CHECK(sb.BoundTo(hw));
   return ComponentEnergy(sb, hw, kernel_->Now());
 }
 
 PowerSandbox::EnergyDetail PsboxManager::ReadEnergyDetail(int box) {
-  PowerSandbox& sb = sandbox(box);
+  PowerSandbox& sb = Box(box);
   PowerSandbox::EnergyDetail total;
   // Transferred energy was measured on the failed board's rails.
   total.measured = sb.transferred_base();
@@ -203,7 +216,7 @@ double PsboxManager::EstimatedEnergyFraction(int box) {
   return total > 0.0 ? d.estimated / total : 0.0;
 }
 
-void PsboxManager::ResetEnergy(int box) { sandbox(box).ResetMeter(kernel_->Now()); }
+void PsboxManager::ResetEnergy(int box) { Box(box).ResetMeter(kernel_->Now()); }
 
 size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
                             size_t max_samples) {
@@ -260,19 +273,29 @@ size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
 
 bool PsboxManager::InBox(int box) const { return sandbox(box).inside(); }
 
+void PsboxManager::Hold(PsboxId box) {
+  if (!is_held_[static_cast<size_t>(box)]) {
+    is_held_[static_cast<size_t>(box)] = true;
+    held_.push_back(box);
+  }
+}
+
 TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
   // Lowering the horizon for one constraint can expose an earlier straddling
   // interval on another box or component, so iterate the per-box floors to a
   // fixpoint (each strict drop lands on some interval begin — terminates).
+  // A box outside held_ has neither intervals nor an open balloon, so its
+  // RetainFloor is |desired|: skipping it is exact.
   TimeNs h = desired;
   while (true) {
     TimeNs next = h;
-    for (const auto& boxp : boxes_) {
-      for (HwComponent hw : boxp->hardware()) {
+    for (PsboxId id : held_) {
+      const PowerSandbox& sb = *boxes_[static_cast<size_t>(id)];
+      for (HwComponent hw : sb.hardware()) {
         if (kernel_->domain(hw).direct_metered()) {
           continue;  // banked via BankDirectEnergy; no ownership windows
         }
-        next = std::min(next, boxp->RetainFloor(hw, h));
+        next = std::min(next, sb.RetainFloor(hw, h));
       }
     }
     if (next == h) {
@@ -284,9 +307,10 @@ TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
 
 void PsboxManager::TrimTelemetry(TimeNs horizon) {
   Board& board = kernel_->board();
-  const DurationNs period = board.config().meter.sample_period;
-  for (const auto& boxp : boxes_) {
-    PowerSandbox& sb = *boxp;
+  size_t kept = 0;
+  for (PsboxId id : held_) {
+    PowerSandbox& sb = *boxes_[static_cast<size_t>(id)];
+    bool holds = false;
     for (HwComponent hw : sb.hardware()) {
       const ResourceDomain& domain = kernel_->domain(hw);
       if (domain.direct_metered()) {
@@ -297,15 +321,23 @@ void PsboxManager::TrimTelemetry(TimeNs horizon) {
               hw, domain.DirectEnergyOver(sb.app(), sb.direct_from(hw), horizon),
               horizon);
         }
+        holds = true;
       } else {
         sb.TrimOwned(hw, horizon, board.RailFor(hw), &board.fault_injector());
+        holds = holds || sb.HoldsHistory(hw);
       }
     }
-    sb.DropSampleBacklogBefore(horizon, period);
+    if (holds) {
+      held_[kept++] = id;
+    } else {
+      is_held_[static_cast<size_t>(id)] = false;  // back on its next balloon
+    }
   }
+  held_.resize(kept);
+  backlog_horizon_ = std::max(backlog_horizon_, horizon);
 }
 
-void PsboxManager::SaveState(SnapshotWriter& w) const {
+void PsboxManager::SaveState(SnapshotWriter& w) {
   w.Section("psbox");
   rng_.SaveState(w);
   {
@@ -328,7 +360,7 @@ void PsboxManager::SaveState(SnapshotWriter& w) const {
     // before its state record overwrites the mutable ledger).
     w.I64(bp->parent());
     w.F64(bp->budget());
-    bp->SaveState(w);
+    sandbox(static_cast<int>(bp->id())).SaveState(w);
   }
 }
 
@@ -376,7 +408,13 @@ void PsboxManager::RestoreState(SnapshotReader& r) {
     // the original claims and is restored verbatim below — claiming again
     // during replay would double-count.
     const int box = CreateBoxInternal(app, hw, parent, budget, /*claim=*/false);
-    boxes_[static_cast<size_t>(box)]->RestoreState(r);
+    PowerSandbox& sb = *boxes_[static_cast<size_t>(box)];
+    sb.RestoreState(r);
+    for (HwComponent component : hw) {
+      if (sb.HoldsHistory(component)) {
+        Hold(box);
+      }
+    }
   }
 }
 
@@ -384,14 +422,15 @@ void PsboxManager::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
   // Compose the edge up the hierarchy: the owner and every ancestor tenant
   // open (or deepen) an ownership interval. CreateNestedBox enforces that a
   // child's binding is a subset of its parent's, so every ancestor is bound.
-  for (PsboxId b = box; b >= 0; b = sandbox(b).parent()) {
-    sandbox(b).OnOwnershipStart(hw, when);
+  for (PsboxId b = box; b >= 0; b = Box(b).parent()) {
+    Box(b).OnOwnershipStart(hw, when);
+    Hold(b);
   }
 }
 
 void PsboxManager::OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) {
-  for (PsboxId b = box; b >= 0; b = sandbox(b).parent()) {
-    sandbox(b).OnOwnershipEnd(hw, when);
+  for (PsboxId b = box; b >= 0; b = Box(b).parent()) {
+    Box(b).OnOwnershipEnd(hw, when);
   }
 }
 

@@ -44,7 +44,9 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   bool InBox(int box) const override;
   // Telemetry retention: the sandboxes' exact-accounting floor (fixpoint
   // over open balloons and straddling ownership intervals), and the fold of
-  // trimmed history into per-box energy bases + sample-backlog drop.
+  // trimmed history into per-box energy bases + sample-backlog drop. Both
+  // visit only the boxes that still hold rail history (see held_); the
+  // backlog drop is deferred to the box's next touch.
   TimeNs TelemetryFloor(TimeNs desired) override;
   void TrimTelemetry(TimeNs horizon) override;
 
@@ -72,9 +74,16 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // meter never glitched). The accounting error bound scales with this.
   double EstimatedEnergyFraction(int box);
 
+  // The non-const accessor settles the box's deferred sample-backlog drop,
+  // so its sample_cursor()/samples_lost() read as if every trim had dropped
+  // eagerly.
   PowerSandbox& sandbox(int box);
   const PowerSandbox& sandbox(int box) const;
   size_t box_count() const { return boxes_.size(); }
+  // Boxes the retention trim still visits: those with an open balloon or a
+  // retained owned interval, plus every box binding a direct-metered
+  // component. Dormant boxes (exited apps, trimmed history) are not counted.
+  size_t held_box_count() const { return held_.size(); }
 
   // --- crash evacuation (state transfer) ----------------------------------
   // Banks energy already billed to |app| on a failed board; the app's next
@@ -87,8 +96,9 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // (creation parameters + meter state). RestoreState replays CreateBox for
   // each saved sandbox — re-running the per-domain BindBox setup — and then
   // overwrites the sandbox state; it requires an empty manager (fresh boards
-  // only).
-  void SaveState(SnapshotWriter& w) const;
+  // only). SaveState settles every deferred backlog drop first, so the bytes
+  // match an eagerly trimmed manager.
+  void SaveState(SnapshotWriter& w);
   void RestoreState(SnapshotReader& r);
 
  private:
@@ -104,10 +114,23 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   Joules ComponentEnergy(PowerSandbox& sb, HwComponent hw, TimeNs now);
   PowerSandbox::EnergyDetail ComponentEnergyDetail(PowerSandbox& sb,
                                                    HwComponent hw, TimeNs now);
+  // sandbox() without settling the backlog drop: for paths that never read
+  // the sample cursor.
+  PowerSandbox& Box(int box);
+  // Adds |box| to held_ unless it is already there.
+  void Hold(PsboxId box);
 
   Kernel* kernel_;
   Rng rng_;
   std::vector<std::unique_ptr<PowerSandbox>> boxes_;
+  // Ids of the boxes the trim path visits (held_box_count()), in no
+  // particular order — every per-box trim step is independent of the others
+  // — and the matching membership flags, indexed by box id.
+  std::vector<PsboxId> held_;
+  std::vector<bool> is_held_;
+  // Largest horizon trimmed so far. Each box's sample backlog is dropped to
+  // it lazily; since drops telescope, one late drop equals the eager run.
+  TimeNs backlog_horizon_ = 0;
   // Evacuated energy waiting for its app's next CreateBox.
   std::unordered_map<AppId, Joules> staged_transfers_;
   // Reusable merge buffer for Sample(): one grid of timestamps, every bound

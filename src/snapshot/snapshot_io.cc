@@ -1,5 +1,6 @@
 #include "src/snapshot/snapshot_io.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace psbox {
@@ -12,26 +13,47 @@ namespace {
 constexpr uint8_t kSectionSentinel0 = 0x5E;
 constexpr uint8_t kSectionSentinel1 = 0xC7;
 
-struct Crc32Table {
-  uint32_t t[256];
-  Crc32Table() {
+// Slice-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320: t[0] is
+// the classic byte table, and t[k][b] is the CRC of byte b followed by k zero
+// bytes, so eight table lookups advance the CRC by eight bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table.t[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = c ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -44,25 +66,33 @@ void SnapshotWriter::Section(const char* name) {
   Bytes(name, n);
 }
 
-std::vector<uint8_t> SnapshotWriter::Seal() const {
-  std::vector<uint8_t> out;
-  out.reserve(kSnapshotHeaderSize + buf_.size());
-  out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
-  auto le = [&out](uint64_t v, size_t bytes) {
+std::array<uint8_t, kSnapshotHeaderSize> SnapshotWriter::Header() const {
+  std::array<uint8_t, kSnapshotHeaderSize> h{};
+  std::memcpy(h.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
+  size_t at = sizeof(kSnapshotMagic);
+  auto le = [&h, &at](uint64_t v, size_t bytes) {
     for (size_t i = 0; i < bytes; ++i) {
-      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      h[at++] = static_cast<uint8_t>(v >> (8 * i));
     }
   };
   le(kSnapshotFormatVersion, 4);
   le(buf_.size(), 8);
   le(SnapshotCrc32(buf_.data(), buf_.size()), 4);
+  return h;
+}
+
+std::vector<uint8_t> SnapshotWriter::Seal() const {
+  const std::array<uint8_t, kSnapshotHeaderSize> header = Header();
+  std::vector<uint8_t> out;
+  out.reserve(kSnapshotHeaderSize + buf_.size());
+  out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), buf_.begin(), buf_.end());
   return out;
 }
 
 bool SnapshotWriter::WriteFile(const std::string& path,
                                std::string* error) const {
-  const std::vector<uint8_t> sealed = Seal();
+  const std::array<uint8_t, kSnapshotHeaderSize> header = Header();
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -71,9 +101,10 @@ bool SnapshotWriter::WriteFile(const std::string& path,
     }
     return false;
   }
-  const size_t written = std::fwrite(sealed.data(), 1, sealed.size(), f);
+  const size_t written = std::fwrite(header.data(), 1, header.size(), f) +
+                         std::fwrite(buf_.data(), 1, buf_.size(), f);
   const bool flushed = std::fclose(f) == 0;
-  if (written != sealed.size() || !flushed) {
+  if (written != header.size() + buf_.size() || !flushed) {
     std::remove(tmp.c_str());
     if (error != nullptr) {
       *error = "snapshot: short write to " + tmp;
@@ -90,11 +121,24 @@ bool SnapshotWriter::WriteFile(const std::string& path,
   return true;
 }
 
-bool SnapshotReader::Open(const uint8_t* data, size_t n) {
+void SnapshotReader::Reset() {
   ok_ = true;
   error_.clear();
   payload_.clear();
   pos_ = 0;
+}
+
+bool SnapshotReader::Open(const uint8_t* data, size_t n) {
+  Reset();
+  if (!Validate(data, n, data + std::min(n, kSnapshotHeaderSize))) {
+    return false;
+  }
+  payload_.assign(data + kSnapshotHeaderSize, data + n);
+  return true;
+}
+
+bool SnapshotReader::Validate(const uint8_t* data, size_t n,
+                              const uint8_t* payload) {
   if (n < kSnapshotHeaderSize) {
     Fail("snapshot header truncated: " + std::to_string(n) + " bytes, need " +
          std::to_string(kSnapshotHeaderSize));
@@ -125,32 +169,45 @@ bool SnapshotReader::Open(const uint8_t* data, size_t n) {
     return false;
   }
   const auto crc = static_cast<uint32_t>(le(20, 4));
-  const uint32_t actual =
-      SnapshotCrc32(data + kSnapshotHeaderSize, payload_size);
-  if (crc != actual) {
+  if (crc != SnapshotCrc32(payload, payload_size)) {
     Fail("snapshot payload CRC mismatch (corrupt or torn write)");
     return false;
   }
-  payload_.assign(data + kSnapshotHeaderSize, data + n);
   return true;
 }
 
 bool SnapshotReader::OpenFile(const std::string& path) {
+  Reset();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    ok_ = true;  // Fail() records only the first error
-    error_.clear();
     Fail("snapshot: cannot open " + path);
     return false;
   }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[4096];
-  size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + got);
+  // The header goes into a small array and the payload straight into its
+  // final buffer, sized once from the file length. The bytes actually read
+  // are what gets validated, so a short read shows up as truncation.
+  std::array<uint8_t, kSnapshotHeaderSize> header{};
+  size_t n = std::fread(header.data(), 1, header.size(), f);
+  if (n == header.size() && std::fseek(f, 0, SEEK_END) == 0) {
+    const long end = std::ftell(f);
+    if (end > static_cast<long>(n) &&
+        std::fseek(f, static_cast<long>(n), SEEK_SET) == 0) {
+      payload_.resize(static_cast<size_t>(end) - n);
+      payload_.resize(std::fread(payload_.data(), 1, payload_.size(), f));
+      n += payload_.size();
+    }
   }
   std::fclose(f);
-  return Open(bytes.data(), bytes.size());
+  if (!Validate(header.data(), n, payload_.data())) {
+    payload_.clear();
+    return false;
+  }
+  return true;
+}
+
+void SnapshotReader::Exhausted() {
+  pos_ = payload_.size();
+  Fail("snapshot payload exhausted at offset " + std::to_string(pos_));
 }
 
 uint8_t SnapshotReader::ReadByte() {
@@ -158,7 +215,7 @@ uint8_t SnapshotReader::ReadByte() {
     return 0;
   }
   if (pos_ >= payload_.size()) {
-    Fail("snapshot payload exhausted at offset " + std::to_string(pos_));
+    Exhausted();
     return 0;
   }
   return payload_[pos_++];

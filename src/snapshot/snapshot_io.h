@@ -28,6 +28,7 @@
 #ifndef SRC_SNAPSHOT_SNAPSHOT_IO_H_
 #define SRC_SNAPSHOT_SNAPSHOT_IO_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -88,10 +89,13 @@ class SnapshotWriter {
   std::vector<uint8_t> Seal() const;
 
   // Seals and writes to |path| (via a rename from a temp file, so a crashed
-  // writer cannot leave a half-written snapshot under the final name).
+  // writer cannot leave a half-written snapshot under the final name). The
+  // header and payload are written in turn; no sealed copy is built.
   bool WriteFile(const std::string& path, std::string* error) const;
 
  private:
+  std::array<uint8_t, kSnapshotHeaderSize> Header() const;
+
   template <typename T>
   void AppendLe(T v) {
     for (size_t i = 0; i < sizeof(T); ++i) {
@@ -111,6 +115,8 @@ class SnapshotReader {
   bool Open(const std::vector<uint8_t>& sealed) {
     return Open(sealed.data(), sealed.size());
   }
+  // Reads the payload straight into the reader's buffer and validates it
+  // there (one copy of the file in memory).
   bool OpenFile(const std::string& path);
 
   uint8_t U8() { return ReadByte(); }
@@ -143,13 +149,31 @@ class SnapshotReader {
   bool AtEnd() const { return pos_ == payload_.size(); }
 
  private:
+  // Starts a fresh parse: clears the error state and the payload.
+  void Reset();
+  // Checks a sealed snapshot's header against its |n| total bytes and the
+  // CRC of |payload| (n - kSnapshotHeaderSize bytes); poisons on mismatch.
+  bool Validate(const uint8_t* header, size_t n, const uint8_t* payload);
+  // Poisons the reader at the end of the payload (a read ran past it).
+  void Exhausted();
   uint8_t ReadByte();
+  // One bounds check per field; a field that runs past the end poisons the
+  // reader at the payload's end, as a byte-at-a-time read would.
   template <typename T>
   T ReadLe() {
+    if (!ok_) {
+      return 0;
+    }
+    if (remaining() < sizeof(T)) {
+      Exhausted();
+      return 0;
+    }
+    const uint8_t* p = payload_.data() + pos_;
     T v = 0;
     for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(ReadByte()) << (8 * i);
+      v |= static_cast<T>(p[i]) << (8 * i);
     }
+    pos_ += sizeof(T);
     return v;
   }
 

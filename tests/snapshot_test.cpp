@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,86 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+// --- stream primitives -----------------------------------------------------
+
+// Bitwise CRC-32 (reflected, polynomial 0xEDB88320): the definition the
+// table-driven SnapshotCrc32 must reproduce exactly.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrcTest, MatchesBitwiseReference) {
+  const char* check = "123456789";
+  EXPECT_EQ(SnapshotCrc32(reinterpret_cast<const uint8_t*>(check), 9),
+            0xCBF43926u);
+
+  std::mt19937_64 gen(0xC3C3);
+  // Every length 0..257 at every alignment mod 8: covers the 8-byte body,
+  // the bytewise tail, and unaligned starts.
+  std::vector<uint8_t> buf(257 + 8);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(gen());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      ASSERT_EQ(SnapshotCrc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  std::vector<uint8_t> big(5 * 1024 * 1024 + 3);
+  for (uint8_t& b : big) {
+    b = static_cast<uint8_t>(gen());
+  }
+  EXPECT_EQ(SnapshotCrc32(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size()));
+}
+
+// A field that runs past the payload's end poisons the reader with the
+// payload length as the offset, and every later read returns zero.
+TEST(SnapshotReaderTest, ShortFieldFailsAtPayloadEnd) {
+  SnapshotWriter w;
+  w.U32(7);
+  w.U8(1);
+  w.U8(2);
+  SnapshotReader r;
+  ASSERT_TRUE(r.Open(w.Seal()));
+  EXPECT_EQ(r.U32(), 7u);
+  EXPECT_EQ(r.U64(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "snapshot payload exhausted at offset 6");
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(r.U8(), 0u);
+  EXPECT_EQ(r.error(), "snapshot payload exhausted at offset 6");
+}
+
+// OpenFile reads what WriteFile wrote, without the sealed copy in between.
+TEST(SnapshotReaderTest, FileRoundTrip) {
+  SnapshotWriter w;
+  w.Section("t");
+  w.I64(-5);
+  w.F64(0.25);
+  w.Str("psbox");
+  const std::string path = testing::TempDir() + "stream_round_trip.snap";
+  std::string error;
+  ASSERT_TRUE(w.WriteFile(path, &error)) << error;
+  EXPECT_EQ(ReadFileBytes(path), w.Seal());
+  SnapshotReader r;
+  ASSERT_TRUE(r.OpenFile(path)) << r.error();
+  EXPECT_TRUE(r.Section("t"));
+  EXPECT_EQ(r.I64(), -5);
+  EXPECT_EQ(r.F64(), 0.25);
+  EXPECT_EQ(r.Str(), "psbox");
+  EXPECT_TRUE(r.ok() && r.AtEnd());
 }
 
 // --- board-level round trip ------------------------------------------------
@@ -389,6 +470,59 @@ TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
   // the golden guards semantic compatibility, not just parseability.
   EXPECT_EQ(restored->Run().Fingerprint(),
             RootCoordinator(GoldenScenario(), 2).Run().Fingerprint());
+}
+
+// The golden scenario with telemetry retention on: the checkpoint carries
+// trimmed ownership history, folded energy bases and advanced sample
+// cursors, so the byte comparison pins the retention path's meter state.
+FleetScenario GoldenRetainedScenario() {
+  FleetScenario scenario = GoldenScenario();
+  for (FleetBoardSpec& board : scenario.boards) {
+    board.kernel.telemetry_retention = Millis(50);
+  }
+  return scenario;
+}
+
+TEST(GoldenSnapshotTest, RetainedCheckpointIsByteExact) {
+  const std::string golden = std::string(PSBOX_SOURCE_DIR) +
+                             "/tests/golden/fleet_checkpoint_retained_v3.snap";
+  if (std::getenv("PSBOX_REGEN_GOLDEN") != nullptr) {
+    RootCoordinator fleet(GoldenRetainedScenario(), 2);
+    fleet.set_checkpoint(golden, 25);
+    fleet.Run();
+    GTEST_SKIP() << "regenerated " << golden;
+  }
+  const std::vector<uint8_t> expected = ReadFileBytes(golden);
+  ASSERT_FALSE(expected.empty()) << "missing " << golden;
+
+  // A fresh run writes the committed bytes exactly (one cut, at 260 ms).
+  const std::string fresh = TempPath("golden_retained_fresh.snap");
+  {
+    RootCoordinator fleet(GoldenRetainedScenario(), 2);
+    fleet.set_checkpoint(fresh, 25);
+    fleet.Run();
+  }
+  EXPECT_EQ(ReadFileBytes(fresh), expected)
+      << "a retention-on checkpoint changed bytes without a format bump";
+
+  // Restore, continue, re-save: the cut at 480 ms must match the one an
+  // uninterrupted run writes there, byte for byte.
+  std::string error;
+  auto restored = RootCoordinator::RestoreFromCheckpoint(
+      GoldenRetainedScenario(), 2, golden, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->resume_time(), Millis(260));
+  const std::string resaved = TempPath("golden_retained_resaved.snap");
+  restored->set_checkpoint(resaved, 24);
+  const uint64_t resumed_fp = restored->Run().Fingerprint();
+
+  const std::string uninterrupted = TempPath("golden_retained_480.snap");
+  RootCoordinator fleet(GoldenRetainedScenario(), 2);
+  fleet.set_checkpoint(uninterrupted, 24);
+  EXPECT_EQ(fleet.Run().Fingerprint(), resumed_fp);
+  const std::vector<uint8_t> resaved_bytes = ReadFileBytes(resaved);
+  ASSERT_FALSE(resaved_bytes.empty());
+  EXPECT_EQ(resaved_bytes, ReadFileBytes(uninterrupted));
 }
 
 }  // namespace

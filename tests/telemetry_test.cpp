@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "src/fleet/root_coordinator.h"
+#include "src/popgen/board_population.h"
+#include "src/snapshot/snapshot_io.h"
 #include "tests/test_util.h"
 
 namespace psbox {
@@ -214,6 +216,120 @@ TEST(RetentionTest, UndrainedSampleBacklogDropsLikeRingBuffer) {
     EXPECT_EQ(sample.timestamp % period, 0) << "off the DAQ grid";
     EXPECT_GE(sample.timestamp, s.kernel.last_trim_horizon());
   }
+}
+
+// --- folded read prefix ----------------------------------------------------
+
+void ExpectSameDetail(const PowerSandbox::EnergyDetail& a,
+                      const PowerSandbox::EnergyDetail& b) {
+  EXPECT_EQ(a.measured, b.measured);
+  EXPECT_EQ(a.estimated, b.estimated);
+  EXPECT_EQ(a.measured_time, b.measured_time);
+  EXPECT_EQ(a.estimated_time, b.estimated_time);
+}
+
+TEST(FoldedPrefixTest, FrequentReadsMatchOneLateRead) {
+  // One stack reads its box after every 10 ms epoch (the prefix advances
+  // read by read, across trims), the other only at the end (the prefix is
+  // built in one go). Dropout windows split owned spans, and a mid-run
+  // ResetMeter restarts the sums; every field must still agree exactly.
+  BoardConfig board;
+  board.faults.meter_dropout = {{Millis(40), Millis(60)},
+                                {Millis(133), Millis(137)},
+                                {Millis(300), Millis(420)}};
+  for (const DurationNs retention : {DurationNs{0}, kRetention}) {
+    SCOPED_TRACE("retention=" + std::to_string(retention));
+    TestStack often(board, RetentionConfig(retention));
+    TestStack once(board, RetentionConfig(retention));
+    for (TestStack* s : {&often, &once}) {
+      s->SpawnBusy("boxed");
+      s->SpawnBusy("rival0");
+      s->SpawnBusy("rival1");
+      s->manager.EnterBox(s->manager.CreateBox(0, {HwComponent::kCpu}));
+    }
+    for (TimeNs t = Millis(10); t <= Millis(600); t += Millis(10)) {
+      often.kernel.RunUntil(t);
+      once.kernel.RunUntil(t);
+      (void)often.manager.ReadEnergyDetail(0);
+      if (t == Millis(250)) {
+        often.manager.ResetEnergy(0);
+        once.manager.ResetEnergy(0);
+      }
+    }
+    ExpectSameDetail(often.manager.ReadEnergyDetail(0),
+                     once.manager.ReadEnergyDetail(0));
+    const IntervalSet& owned = often.manager.sandbox(0).owned(HwComponent::kCpu);
+    EXPECT_GT(owned.size() + owned.trimmed_intervals(), 20u)
+        << "ownership must be fragmented for the prefix to matter";
+  }
+}
+
+TEST(FoldedPrefixTest, PastReadEqualsUnfoldedComputation) {
+  // After the prefix has advanced to now, a direct read at an earlier
+  // instant cuts into folded intervals; it must equal the computation of a
+  // box with no prefix at all (a snapshot copy — the prefix is never
+  // serialised), and reading at now again must not be disturbed.
+  BoardConfig board;
+  board.faults.meter_dropout = {{Millis(70), Millis(90)}};
+  TestStack s(board);
+  s.SpawnBusy("boxed");
+  s.SpawnBusy("rival0");
+  s.SpawnBusy("rival1");
+  const int box = s.manager.CreateBox(0, {HwComponent::kCpu});
+  s.manager.EnterBox(box);
+  s.kernel.RunUntil(Millis(300));
+  (void)s.manager.ReadEnergyDetail(box);
+
+  const PowerSandbox& sb = s.manager.sandbox(box);
+  SnapshotWriter w;
+  sb.SaveState(w);
+  SnapshotReader r;
+  ASSERT_TRUE(r.Open(w.Seal()));
+  PowerSandbox unfolded(sb.id(), sb.app(), sb.hardware(), 0);
+  unfolded.RestoreState(r);
+  ASSERT_TRUE(r.ok()) << r.error();
+
+  const PowerRail& rail = s.board.RailFor(HwComponent::kCpu);
+  const FaultInjector* faults = &s.board.fault_injector();
+  for (const TimeNs t : {Millis(80), Millis(150), Millis(295), s.kernel.Now()}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    ExpectSameDetail(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, t, faults),
+                     unfolded.ObservedEnergyDetail(rail, HwComponent::kCpu, t,
+                                                   faults));
+  }
+}
+
+// --- dormant boxes leave the trim path --------------------------------------
+
+TEST(RetentionTest, TrimVisitsOnlyBoxesHoldingHistory) {
+  // A population arrives for 300 ms and then stops; once its apps have
+  // exited and a trim has run, only tenants and still-live boxes may hold
+  // rail history, however many boxes the board has created. (Before that, a
+  // long balloon can pin the horizon and keep dead boxes' intervals.)
+  TestStack s(BoardConfig{}, RetentionConfig());
+  PopulationConfig cfg;
+  cfg.base_rate_hz = 200.0;
+  cfg.tenants_per_board = 2;
+  BoardPopulation pop(cfg, 0x5EED, 0, &s.kernel, &s.manager);
+  pop.CreateTenants(/*restoring=*/false);
+  for (TimeNs t = Millis(10); t <= Millis(300); t += Millis(10)) {
+    pop.ScheduleWindow(t);
+    s.kernel.RunUntil(t);
+  }
+  ASSERT_GT(pop.spawned(), 20u);
+  TimeNs t = Millis(300);
+  while (pop.CompletedCount() < pop.spawned() && t < Seconds(20)) {
+    t += Millis(100);
+    s.kernel.RunUntil(t);
+  }
+  ASSERT_EQ(pop.CompletedCount(), pop.spawned());
+  // Two retention windows past the last exit: the horizon has passed every
+  // dead box's last owned interval.
+  s.kernel.RunUntil(t + 2 * kRetention);
+  EXPECT_GT(s.kernel.last_trim_horizon(), t);
+  EXPECT_LE(s.manager.held_box_count(),
+            static_cast<size_t>(pop.tenant_count()));  // no live box is left
+  EXPECT_GT(s.manager.box_count(), pop.spawned());
 }
 
 // --- the single-grid sampling path -----------------------------------------
