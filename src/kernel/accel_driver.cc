@@ -1,7 +1,6 @@
 #include "src/kernel/accel_driver.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
@@ -39,48 +38,20 @@ void AccelDriver::MarkContextTime() {
 
 AccelDriver::AppQueue& AccelDriver::QueueFor(AppId app) { return queues_[app]; }
 
+AccelDriver::AppQueue& AccelDriver::TouchQueue(AppId app) {
+  AppQueue& q = queues_[app];
+  pick_.Touch(app, &q);
+  return q;
+}
+
 void AccelDriver::Submit(Task* task, AccelCommand cmd) {
   cmd.id = next_cmd_id_++;
   cmd.app = task->app();
   ++stats_.submitted;
-  AppQueue& q = QueueFor(cmd.app);
+  AppQueue& q = TouchQueue(cmd.app);
   q.q.push_back(Pending{cmd, task, sim_->Now()});
   q.last_seen = sim_->Now();
   Pump();
-}
-
-double AccelDriver::MinRecentCompetitorVruntime(AppId owner) const {
-  constexpr DurationNs kRecency = 50 * kMillisecond;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [app, q] : queues_) {
-    if (app == owner) {
-      continue;
-    }
-    const bool recent =
-        q.last_seen >= 0 && sim_->Now() - q.last_seen <= kRecency;
-    if (!q.q.empty() || recent) {
-      best = std::min(best, q.vruntime);
-    }
-  }
-  return best;
-}
-
-AppId AccelDriver::BestPendingApp(bool exclude_sandboxed_owner) const {
-  AppId best = kNoApp;
-  double best_vr = std::numeric_limits<double>::infinity();
-  for (const auto& [app, q] : queues_) {
-    if (q.q.empty()) {
-      continue;
-    }
-    if (exclude_sandboxed_owner && app == balloon_owner()) {
-      continue;
-    }
-    if (q.vruntime < best_vr) {
-      best_vr = q.vruntime;
-      best = app;
-    }
-  }
-  return best;
 }
 
 void AccelDriver::Pump() {
@@ -101,7 +72,7 @@ void AccelDriver::Pump() {
           update_busy();
           return;
         }
-        AppId best = BestPendingApp(false);
+        AppId best = pick_.BestWanting(sim_->Now());
         if (best == kNoApp) {
           update_busy();
           return;
@@ -111,21 +82,12 @@ void AccelDriver::Pump() {
           // repaying its previous balloon relative to apps that will be back
           // momentarily (non-work-conserving toward the sandbox; this is
           // what confines the loss to the sandboxed app, §6.3).
-          const double competitor = MinRecentCompetitorVruntime(best);
+          const double competitor =
+              pick_.MinRecentCompetitor(best, sim_->Now());
           if (QueueFor(best).vruntime >
               competitor + static_cast<double>(config_.switch_lead)) {
             // Try the best non-sandboxed pending app instead.
-            AppId fallback = kNoApp;
-            double fallback_vr = std::numeric_limits<double>::infinity();
-            for (const auto& [app, q2] : queues_) {
-              if (q2.q.empty() || q2.sandboxed) {
-                continue;
-              }
-              if (q2.vruntime < fallback_vr) {
-                fallback_vr = q2.vruntime;
-                fallback = app;
-              }
-            }
+            const AppId fallback = pick_.BestQueuedUnsandboxed(sim_->Now());
             if (fallback == kNoApp) {
               // Idle on purpose; retry once the competition catches up.
               if (retry_event_ == kInvalidEventId) {
@@ -172,7 +134,7 @@ void AccelDriver::Pump() {
       }
       case BalloonPhase::kServe: {
         AppQueue& sq = QueueFor(balloon_owner());
-        const AppId contender = BestPendingApp(/*exclude_sandboxed_owner=*/true);
+        const AppId contender = pick_.BestWanting(sim_->Now(), balloon_owner());
         const bool grant_over = sim_->Now() - balloon_start() >= config_.min_grant;
         const bool owner_idle = sq.q.empty() && device_->in_flight() == 0;
         if (owner_idle) {
@@ -253,7 +215,7 @@ void AccelDriver::OnComplete(const AccelCompletion& completion) {
   in_flight_.erase(it);
   sim_->Cancel(p.watchdog);
   ++stats_.completed;
-  AppQueue& q = QueueFor(completion.cmd.app);
+  AppQueue& q = TouchQueue(completion.cmd.app);
   ++q.completed;
   q.last_seen = sim_->Now();
   if (completion.cmd.app != balloon_owner()) {
@@ -313,13 +275,20 @@ void AccelDriver::SwitchOppContext(int ctx) {
   context_opp_[current_context_] = device_->opp_index();
   current_context_ = ctx;
   device_->SetOppIndex(context_opp_[ctx]);
+  if (std::find(window_ctxs_.begin(), window_ctxs_.end(), ctx) ==
+      window_ctxs_.end()) {
+    window_ctxs_.push_back(ctx);
+  }
 }
 
 void AccelDriver::OnGovernorTick() {
   MarkContextTime();
   // Update every context that owned the device long enough this window,
-  // judging each by the utilisation measured while it was in charge.
-  for (auto& [ctx, wall] : ctx_wall_) {
+  // judging each by the utilisation measured while it was in charge. Only
+  // the contexts made current this window can have any; the others sit at
+  // zero wall and busy time already.
+  for (const int ctx : window_ctxs_) {
+    DurationNs& wall = ctx_wall_.at(ctx);  // MarkContextTime keyed it
     if (wall >= 2 * kMillisecond) {
       const double util =
           static_cast<double>(ctx_busy_[ctx]) / static_cast<double>(wall);
@@ -340,6 +309,7 @@ void AccelDriver::OnGovernorTick() {
     wall = 0;
     ctx_busy_[ctx] = 0;
   }
+  window_ctxs_.assign(1, current_context_);
   gov_event_ = sim_->ScheduleAfter(config_.governor_period, [this] { OnGovernorTick(); });
 }
 
@@ -391,7 +361,7 @@ void AccelDriver::ResetAndRequeue() {
       continue;
     }
     ++stats_.command_retries;
-    QueueFor(p.cmd.app).q.push_front(p);
+    TouchQueue(p.cmd.app).q.push_front(p);
   }
 }
 
@@ -539,6 +509,7 @@ void AccelDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
     p.watchdog = kInvalidEventId;
   };
   queues_.clear();
+  pick_.Clear();
   const size_t num_queues = r.Count(8);
   for (size_t i = 0; i < num_queues; ++i) {
     const AppId app = static_cast<AppId>(r.I64());
@@ -555,6 +526,7 @@ void AccelDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
     q.opp_context = static_cast<int>(r.U32());
     q.completed = r.U64();
     q.last_seen = r.I64();
+    pick_.Touch(app, &q);  // the first dispatch drops the dead ones
     if (!r.ok()) {
       return;
     }
@@ -593,10 +565,15 @@ void AccelDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
     ctx_busy_[ctx] = r.I64();
   }
   ctx_wall_.clear();
+  window_ctxs_.clear();
   const size_t num_wall = r.Count(12);
   for (size_t i = 0; i < num_wall; ++i) {
     const int ctx = static_cast<int>(r.U32());
     ctx_wall_[ctx] = r.I64();
+    window_ctxs_.push_back(ctx);  // the first tick visits them all
+  }
+  if (ctx_wall_.count(current_context_) == 0) {
+    window_ctxs_.push_back(current_context_);
   }
   stats_.submitted = r.U64();
   stats_.completed = r.U64();

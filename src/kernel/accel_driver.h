@@ -23,12 +23,12 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/hw/accel_device.h"
+#include "src/kernel/fair_pick.h"
 #include "src/kernel/resource_domain.h"
 #include "src/kernel/task.h"
 #include "src/sim/simulator.h"
@@ -101,6 +101,9 @@ class AccelDriver : public ResourceDomain {
   const Stats& stats() const { return stats_; }
   uint64_t CompletedFor(AppId app) const;
   const AccelDriverConfig& config() const { return config_; }
+  // Apps in the dispatch index: those with queued commands or active within
+  // the fairness recency window (dead ones leave at the next dispatch).
+  size_t live_app_count() const { return pick_.size(); }
 
   // Snapshot support: queues, in-flight commands with their hang watchdogs,
   // fairness/governor bookkeeping, and all pending driver timers.
@@ -125,22 +128,19 @@ class AccelDriver : public ResourceDomain {
     int opp_context = -1;
     uint64_t completed = 0;
     TimeNs last_seen = -1;  // last submit/completion; recency for fairness
+
+    // FairPick record interface.
+    double score() const { return vruntime; }
+    bool wants() const { return !q.empty(); }
   };
 
   AppQueue& QueueFor(AppId app);
+  // QueueFor() that also (re)enters |app| into the dispatch index; for the
+  // sites that queue a command or refresh last_seen.
+  AppQueue& TouchQueue(AppId app);
   // Dispatch loop; runs after every submit and completion.
   void Pump();
-  // Smallest virtual runtime among apps other than |owner| that used the
-  // device recently (they will be back within a service round); +infinity
-  // when there is none. A sandboxed app may only take a balloon when it does
-  // not lead this by more than switch_lead — otherwise it is still repaying
-  // its previous exclusive occupation.
-  double MinRecentCompetitorVruntime(AppId owner) const;
   void OnComplete(const AccelCompletion& completion);
-  // Smallest vruntime among apps with pending commands; kNoApp when none.
-  AppId BestPendingApp(bool exclude_sandboxed_owner) const;
-  void BeginBalloon(AppId app);
-  void FinishBalloonIfDrained();
   void SwitchOppContext(int ctx);
   void OnGovernorTick();
   // Tracks a deferred Pump() wake-up so checkpoints can re-arm it; prunes
@@ -167,6 +167,11 @@ class AccelDriver : public ResourceDomain {
   AccelDriverConfig config_;
 
   std::map<AppId, AppQueue> queues_;
+  // Apps that used the device in the last 50 ms will be back within a
+  // service round: a sandboxed app takes a balloon only when its vruntime
+  // does not lead theirs by more than switch_lead, otherwise it is still
+  // repaying its previous exclusive occupation.
+  FairPick<AppQueue> pick_{50 * kMillisecond};
   std::unordered_map<uint64_t, Pending> in_flight_;
   uint64_t next_cmd_id_ = 1;
 
@@ -188,6 +193,9 @@ class AccelDriver : public ResourceDomain {
   TimeNs last_ctx_mark_ = 0;
   std::unordered_map<int, DurationNs> ctx_busy_;
   std::unordered_map<int, DurationNs> ctx_wall_;
+  // Contexts made current since the last governor tick; every other context
+  // has zero wall and busy time, so the tick visits only these.
+  std::vector<int> window_ctxs_{0};
 
   Stats stats_;
 };

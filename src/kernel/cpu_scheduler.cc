@@ -97,6 +97,9 @@ void CpuScheduler::AccountCore(CoreId core) {
     // Utilization attribution for the governor: balloon time belongs to the
     // sandbox's frequency context.
     BalloonUtil& bu = balloon_util_[c.balloon->psbox()];
+    if (bu.wall == 0.0) {  // first balloon time this window (delta > 0)
+      util_window_.emplace_back(c.balloon->psbox(), &bu);
+    }
     if (bu.busy_per_core.empty()) {
       bu.busy_per_core.assign(static_cast<size_t>(num_cores()), 0);
     }
@@ -1102,8 +1105,12 @@ CpuScheduler::UtilizationSample CpuScheduler::ConsumeUtilization() {
     busiest = std::max(busiest, cores_[static_cast<size_t>(c)].busy_outside);
     cores_[static_cast<size_t>(c)].busy_outside = 0;
   }
+  // Only the boxes that ballooned this window, in ascending PsboxId like the
+  // map: the skipped entries would each add +0.0 to ballooned_wall.
+  std::sort(util_window_.begin(), util_window_.end());
   double ballooned_wall = 0.0;
-  for (auto& [box, bu] : balloon_util_) {
+  for (auto& [box, bu_ptr] : util_window_) {
+    BalloonUtil& bu = *bu_ptr;
     ballooned_wall += bu.wall;
     // Require a meaningful sample before judging the sandbox's demand.
     if (bu.wall >= 1.0 * kMillisecond) {
@@ -1117,6 +1124,7 @@ CpuScheduler::UtilizationSample CpuScheduler::ConsumeUtilization() {
     bu.wall = 0.0;
     std::fill(bu.busy_per_core.begin(), bu.busy_per_core.end(), 0);
   }
+  util_window_.clear();
   const double global_window =
       std::max(1.0, static_cast<double>(window) - ballooned_wall);
   sample.global = std::min(1.0, static_cast<double>(busiest) / global_window);
@@ -1436,6 +1444,7 @@ void CpuScheduler::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
   stats_.steals = r.U64();
   util_last_consume_ = r.I64();
   balloon_util_.clear();
+  util_window_.clear();
   const size_t num_bu = r.Count(24);
   for (size_t i = 0; i < num_bu && r.ok(); ++i) {
     const PsboxId box = static_cast<PsboxId>(r.I64());
@@ -1445,6 +1454,9 @@ void CpuScheduler::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
       bu.busy_per_core.push_back(r.I64());
     }
     bu.wall = r.F64();
+    if (bu.wall != 0.0) {
+      util_window_.emplace_back(box, &bu);
+    }
   }
   wake_time_.clear();
   const size_t num_wakes = r.Count(16);

@@ -29,6 +29,7 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/types.h"
@@ -302,6 +303,9 @@ class CpuScheduler : public ResourceDomain {
   Stats stats_;
   TimeNs util_last_consume_ = 0;
   std::map<PsboxId, BalloonUtil> balloon_util_;
+  // The boxes that ballooned since the last ConsumeUtilization, i.e. those
+  // with non-zero wall time; every other entry is all zeros already.
+  std::vector<std::pair<PsboxId, BalloonUtil*>> util_window_;
   // Wake timestamps for latency accounting.
   std::unordered_map<TaskId, TimeNs> wake_time_;
 

@@ -1,7 +1,6 @@
 #include "src/kernel/net_stack.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
@@ -18,8 +17,14 @@ NetStack::NetStack(Simulator* sim, WifiDevice* device, Kernel* kernel, NetConfig
 
 NetStack::Socket& NetStack::SockFor(AppId app) { return socks_[app]; }
 
+NetStack::Socket& NetStack::TouchSock(AppId app) {
+  Socket& s = socks_[app];
+  pick_.Touch(app, &s);
+  return s;
+}
+
 void NetStack::Send(Task* task, const Action& action) {
-  Socket& s = SockFor(task->app());
+  Socket& s = TouchSock(task->app());
   WifiFrame frame;
   frame.id = next_frame_id_++;
   frame.app = task->app();
@@ -40,43 +45,6 @@ void NetStack::InjectRx(AppId app, size_t bytes) {
   frame.is_rx = true;
   ++stats_.rx_frames;
   device_->SubmitFrame(frame);
-}
-
-AppId NetStack::BestPendingApp(bool exclude_owner) const {
-  AppId best = kNoApp;
-  double best_credit = std::numeric_limits<double>::infinity();
-  for (const auto& [app, s] : socks_) {
-    // Queued TX demands the medium; so does a sandboxed app's outstanding
-    // reception (its balloon must cover the responses, §4.2/§5).
-    const bool wants_nic = !s.q.empty() || (s.sandboxed && s.expected_rx > 0);
-    if (!wants_nic) {
-      continue;
-    }
-    if (exclude_owner && app == balloon_owner()) {
-      continue;
-    }
-    if (s.credit_bytes < best_credit) {
-      best_credit = s.credit_bytes;
-      best = app;
-    }
-  }
-  return best;
-}
-
-double NetStack::MinRecentCompetitorCredit(AppId owner) const {
-  constexpr DurationNs kRecency = 200 * kMillisecond;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [app, s] : socks_) {
-    if (app == owner) {
-      continue;
-    }
-    const bool recent =
-        s.last_activity >= 0 && sim_->Now() - s.last_activity <= kRecency;
-    if (!s.q.empty() || recent) {
-      best = std::min(best, s.credit_bytes);
-    }
-  }
-  return best;
 }
 
 void NetStack::DispatchFrom(AppId app) {
@@ -104,7 +72,7 @@ void NetStack::Pump() {
         if (!nic_free) {
           return;
         }
-        AppId best = BestPendingApp(false);
+        AppId best = pick_.BestWanting(sim_->Now());
         if (best == kNoApp) {
           return;
         }
@@ -112,22 +80,13 @@ void NetStack::Pump() {
           return;  // nothing dispatchable (awaiting-RX candidates are boxed)
         }
         if (SockFor(best).sandboxed) {
-          const double competitor = MinRecentCompetitorCredit(best);
+          const double competitor =
+              pick_.MinRecentCompetitor(best, sim_->Now());
           if (SockFor(best).credit_bytes >
               competitor + static_cast<double>(config_.switch_lead_bytes)) {
             // Still repaying the previous balloon; serve someone else or
             // hold the NIC idle until the competition catches up.
-            AppId fallback = kNoApp;
-            double fallback_credit = std::numeric_limits<double>::infinity();
-            for (const auto& [app, sock] : socks_) {
-              if (sock.q.empty() || sock.sandboxed) {
-                continue;
-              }
-              if (sock.credit_bytes < fallback_credit) {
-                fallback_credit = sock.credit_bytes;
-                fallback = app;
-              }
-            }
+            const AppId fallback = pick_.BestQueuedUnsandboxed(sim_->Now());
             if (fallback == kNoApp) {
               if (retry_event_ == kInvalidEventId) {
                 retry_event_ = sim_->ScheduleAfter(2 * kMillisecond, [this] {
@@ -163,15 +122,15 @@ void NetStack::Pump() {
       }
       case BalloonPhase::kServe: {
         Socket& s = SockFor(balloon_owner());
-        const AppId contender = BestPendingApp(/*exclude_owner=*/true);
+        const AppId contender = pick_.BestWanting(sim_->Now(), balloon_owner());
         const bool grant_over = sim_->Now() - balloon_start() >= config_.min_grant;
         // The owner's NIC session covers queued TX, in-flight TX, responses
         // the channel still owes it, and its power-save tail afterwards.
         const bool owner_active =
             !s.q.empty() || our_tx_pending_ || s.expected_rx > 0;
         const TimeNs tail_deadline =
-            s.last_activity >= 0
-                ? s.last_activity + device_->power_state().ps_timeout
+            s.last_seen >= 0
+                ? s.last_seen + device_->power_state().ps_timeout
                 : sim_->Now();
         const bool in_tail = !owner_active && sim_->Now() < tail_deadline;
         const bool owner_idle = !owner_active && !in_tail;
@@ -246,9 +205,9 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
     ledger_->Add(HwComponent::kWifi, done.frame.app, done.start_time, done.end_time);
   }
   if (done.frame.is_rx) {
-    Socket& s = SockFor(done.frame.app);
+    Socket& s = TouchSock(done.frame.app);
     s.bytes_delivered += done.frame.bytes;
-    s.last_activity = done.end_time;
+    s.last_seen = done.end_time;
     // Reception is airtime the app consumed; it counts toward its credit so
     // heavy downloaders cannot hide behind tiny TX requests.
     s.credit_bytes += static_cast<double>(done.frame.bytes);
@@ -258,7 +217,7 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
     if ((balloon_phase() == BalloonPhase::kServe ||
          balloon_phase() == BalloonPhase::kDrainOwner) &&
         done.frame.app == balloon_owner()) {
-      const AppId contender = BestPendingApp(/*exclude_owner=*/true);
+      const AppId contender = pick_.BestWanting(sim_->Now(), balloon_owner());
       if (contender != kNoApp) {
         penalty_bytes_ += static_cast<double>(
             std::min(done.frame.bytes, SockFor(contender).q.front().frame.bytes));
@@ -276,11 +235,11 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
   const SockPacket p = it->second;
   tx_in_flight_.erase(it);
   our_tx_pending_ = false;
-  Socket& s = SockFor(done.frame.app);
+  Socket& s = TouchSock(done.frame.app);
   // Airtime was burned whether or not the frame arrived; it always counts
   // toward the sender's credit (lost frames are not free).
   s.credit_bytes += static_cast<double>(done.frame.bytes);
-  s.last_activity = done.end_time;
+  s.last_seen = done.end_time;
   if (!done.delivered) {
     HandleTxLoss(p);
     Pump();
@@ -346,7 +305,7 @@ void NetStack::ArmRetx(uint64_t frame_id, TimeNs when) {
     PSBOX_CHECK(it != pending_retx_.end());
     const SockPacket pkt = it->second.pkt;
     pending_retx_.erase(it);
-    SockFor(pkt.frame.app).q.push_front(pkt);
+    TouchSock(pkt.frame.app).q.push_front(pkt);
     Pump();
   });
 }
@@ -375,7 +334,7 @@ void NetStack::DeliverSocketError(const SockPacket& p) {
 }
 
 void NetStack::SetSandboxed(AppId app, PsboxId box) {
-  Socket& s = SockFor(app);
+  Socket& s = TouchSock(app);  // awaited responses become demand
   s.sandboxed = true;
   s.box = box;
   Pump();
@@ -473,7 +432,7 @@ void NetStack::SaveState(SnapshotWriter& w) const {
     SavePowerState(w, s.vstate);
     w.U64(s.bytes_delivered);
     w.I64(s.expected_rx);
-    w.I64(s.last_activity);
+    w.I64(s.last_seen);
     w.U64(s.errors);
   }
   // In-flight TX in frame-id order for a stable byte stream.
@@ -534,6 +493,7 @@ void NetStack::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
   }
   RestoreDomainState(r, rearmer);
   socks_.clear();
+  pick_.Clear();
   tx_in_flight_.clear();
   pending_retx_.clear();
   rx_events_.clear();
@@ -552,8 +512,9 @@ void NetStack::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
     s.vstate = LoadPowerState(r);
     s.bytes_delivered = r.U64();
     s.expected_rx = static_cast<int>(r.I64());
-    s.last_activity = r.I64();
+    s.last_seen = r.I64();
     s.errors = r.U64();
+    pick_.Touch(app, &s);  // the first dispatch drops the dead ones
   }
   const size_t num_inflight = r.Count(8);
   for (size_t i = 0; i < num_inflight && r.ok(); ++i) {

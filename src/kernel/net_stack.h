@@ -23,6 +23,7 @@
 
 #include "src/base/types.h"
 #include "src/hw/wifi_device.h"
+#include "src/kernel/fair_pick.h"
 #include "src/kernel/resource_domain.h"
 #include "src/kernel/task.h"
 #include "src/sim/simulator.h"
@@ -82,6 +83,10 @@ class NetStack : public ResourceDomain {
   const Stats& stats() const { return stats_; }
   size_t BytesDelivered(AppId app) const;
   uint64_t SocketErrors(AppId app) const;
+  // Apps in the dispatch index: those with queued TX, a sandboxed app
+  // awaiting responses, or apps active within the fairness recency window
+  // (dead ones leave at the next dispatch).
+  size_t live_app_count() const { return pick_.size(); }
 
   // Snapshot support: sockets, in-flight TX, retransmit backlog, expected RX
   // injections, and all pending stack timers.
@@ -109,18 +114,22 @@ class NetStack : public ResourceDomain {
     // Responses the channel still owes this app (in-flight request/response
     // exchanges); a balloon stays open while any are outstanding.
     int expected_rx = 0;
-    TimeNs last_activity = -1;
+    TimeNs last_seen = -1;  // last TX/RX airtime end; recency for fairness
     uint64_t errors = 0;  // socket errors delivered (retransmit gave up)
+
+    // FairPick record interface. Queued TX demands the medium; so does a
+    // sandboxed app's outstanding reception (its balloon must cover the
+    // responses, §4.2/§5).
+    double score() const { return credit_bytes; }
+    bool wants() const { return !q.empty() || (sandboxed && expected_rx > 0); }
   };
 
   Socket& SockFor(AppId app);
+  // SockFor() that also (re)enters |app| into the dispatch index; for the
+  // sites that queue TX, refresh last_seen or raise its demand for RX.
+  Socket& TouchSock(AppId app);
   void Pump();
   void OnFrameDone(const WifiFrameDone& done);
-  AppId BestPendingApp(bool exclude_owner) const;
-  // Least byte-credit among recently-active competitors of |owner|;
-  // +infinity when none. Gates balloon (re)entry like the CPU/accelerator
-  // repayment rules.
-  double MinRecentCompetitorCredit(AppId owner) const;
   void DispatchFrom(AppId app);
   // A TX frame was lost on the air: re-enqueue it at the head of its socket
   // after a capped exponential backoff, or give up and deliver a socket
@@ -147,6 +156,9 @@ class NetStack : public ResourceDomain {
   NetConfig config_;
 
   std::map<AppId, Socket> socks_;
+  // Least byte credit among competitors active in the last 200 ms gates
+  // balloon (re)entry like the CPU/accelerator repayment rules.
+  FairPick<Socket> pick_{200 * kMillisecond};
   std::unordered_map<uint64_t, SockPacket> tx_in_flight_;
   uint64_t next_frame_id_ = 1;
   bool our_tx_pending_ = false;  // a TX frame of ours occupies the NIC queue

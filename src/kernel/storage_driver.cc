@@ -1,7 +1,6 @@
 #include "src/kernel/storage_driver.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
@@ -26,6 +25,12 @@ StorageDriver::AppQueue& StorageDriver::QueueFor(AppId app) {
   return queues_[app];
 }
 
+StorageDriver::AppQueue& StorageDriver::TouchQueue(AppId app) {
+  AppQueue& q = queues_[app];
+  pick_.Touch(app, &q);
+  return q;
+}
+
 void StorageDriver::SchedulePumpAt(TimeNs when) {
   std::erase_if(pump_events_, [this](EventId e) { return !sim_->IsPending(e); });
   pump_events_.push_back(sim_->ScheduleAt(when, [this] { Pump(); }));
@@ -35,44 +40,10 @@ void StorageDriver::Submit(Task* task, StorageCommand cmd) {
   cmd.id = next_cmd_id_++;
   cmd.app = task->app();
   ++stats_.submitted;
-  AppQueue& q = QueueFor(cmd.app);
+  AppQueue& q = TouchQueue(cmd.app);
   q.q.push_back(Pending{cmd, task, sim_->Now()});
   q.last_seen = sim_->Now();
   Pump();
-}
-
-double StorageDriver::MinRecentCompetitorVtime(AppId owner) const {
-  constexpr DurationNs kRecency = 50 * kMillisecond;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [app, q] : queues_) {
-    if (app == owner) {
-      continue;
-    }
-    const bool recent =
-        q.last_seen >= 0 && sim_->Now() - q.last_seen <= kRecency;
-    if (!q.q.empty() || recent) {
-      best = std::min(best, q.vtime);
-    }
-  }
-  return best;
-}
-
-AppId StorageDriver::BestPendingApp(bool exclude_sandboxed_owner) const {
-  AppId best = kNoApp;
-  double best_vt = std::numeric_limits<double>::infinity();
-  for (const auto& [app, q] : queues_) {
-    if (q.q.empty()) {
-      continue;
-    }
-    if (exclude_sandboxed_owner && app == balloon_owner()) {
-      continue;
-    }
-    if (q.vtime < best_vt) {
-      best_vt = q.vtime;
-      best = app;
-    }
-  }
-  return best;
 }
 
 void StorageDriver::DispatchFrom(AppId app) {
@@ -94,7 +65,7 @@ void StorageDriver::Pump() {
         if (!device_->CanDispatch()) {
           return;
         }
-        AppId best = BestPendingApp(false);
+        AppId best = pick_.BestWanting(sim_->Now());
         if (best == kNoApp) {
           return;
         }
@@ -102,20 +73,11 @@ void StorageDriver::Pump() {
           // Non-work-conserving toward the sandbox: it only takes the channel
           // when it is not still repaying its previous balloon relative to
           // apps that will be back momentarily (§6.3).
-          const double competitor = MinRecentCompetitorVtime(best);
+          const double competitor =
+              pick_.MinRecentCompetitor(best, sim_->Now());
           if (QueueFor(best).vtime >
               competitor + static_cast<double>(config_.switch_lead)) {
-            AppId fallback = kNoApp;
-            double fallback_vt = std::numeric_limits<double>::infinity();
-            for (const auto& [app, q2] : queues_) {
-              if (q2.q.empty() || q2.sandboxed) {
-                continue;
-              }
-              if (q2.vtime < fallback_vt) {
-                fallback_vt = q2.vtime;
-                fallback = app;
-              }
-            }
+            const AppId fallback = pick_.BestQueuedUnsandboxed(sim_->Now());
             if (fallback == kNoApp) {
               if (retry_event_ == kInvalidEventId) {
                 retry_event_ = sim_->ScheduleAfter(1 * kMillisecond, [this] {
@@ -153,7 +115,7 @@ void StorageDriver::Pump() {
       }
       case BalloonPhase::kServe: {
         AppQueue& sq = QueueFor(balloon_owner());
-        const AppId contender = BestPendingApp(/*exclude_sandboxed_owner=*/true);
+        const AppId contender = pick_.BestWanting(sim_->Now(), balloon_owner());
         const bool grant_over =
             sim_->Now() - balloon_start() >= config_.min_grant;
         // The owner's flush tail does NOT keep the balloon alive — releasing
@@ -225,7 +187,7 @@ void StorageDriver::OnComplete(const StorageCompletion& completion) {
   in_flight_.erase(it);
   sim_->Cancel(p.watchdog);
   ++stats_.completed;
-  AppQueue& q = QueueFor(completion.cmd.app);
+  AppQueue& q = TouchQueue(completion.cmd.app);
   ++q.completed;
   q.last_seen = sim_->Now();
   if (completion.cmd.app != balloon_owner()) {
@@ -306,7 +268,7 @@ void StorageDriver::ResetAndRequeue() {
       continue;
     }
     ++stats_.command_retries;
-    QueueFor(p.cmd.app).q.push_front(p);
+    TouchQueue(p.cmd.app).q.push_front(p);
   }
 }
 
@@ -431,6 +393,7 @@ void StorageDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
   }
   RestoreDomainState(r, rearmer);
   queues_.clear();
+  pick_.Clear();
   in_flight_.clear();
   const size_t num_apps = r.Count(8);
   for (size_t i = 0; i < num_apps && r.ok(); ++i) {
@@ -454,6 +417,7 @@ void StorageDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
     q.vstate.flush_delay = r.I64();
     q.completed = r.U64();
     q.last_seen = r.I64();
+    pick_.Touch(app, &q);  // the first dispatch drops the dead ones
   }
   const size_t num_inflight = r.Count(8);
   for (size_t i = 0; i < num_inflight && r.ok(); ++i) {

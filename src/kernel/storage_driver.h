@@ -16,12 +16,12 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/hw/storage_device.h"
+#include "src/kernel/fair_pick.h"
 #include "src/kernel/resource_domain.h"
 #include "src/kernel/task.h"
 #include "src/sim/simulator.h"
@@ -78,6 +78,9 @@ class StorageDriver : public ResourceDomain {
   const Stats& stats() const { return stats_; }
   uint64_t CompletedFor(AppId app) const;
   const StorageDriverConfig& config() const { return config_; }
+  // Apps in the dispatch index: those with queued commands or active within
+  // the fairness recency window (dead ones leave at the next dispatch).
+  size_t live_app_count() const { return pick_.size(); }
 
   // Snapshot support: queues, the in-flight command with its hang watchdog,
   // power-state virtualisation, and all pending driver timers.
@@ -102,13 +105,18 @@ class StorageDriver : public ResourceDomain {
     StoragePowerState vstate;  // virtualised power state for the sandbox
     uint64_t completed = 0;
     TimeNs last_seen = -1;
+
+    // FairPick record interface.
+    double score() const { return vtime; }
+    bool wants() const { return !q.empty(); }
   };
 
   AppQueue& QueueFor(AppId app);
+  // QueueFor() that also (re)enters |app| into the dispatch index; for the
+  // sites that queue a command or refresh last_seen.
+  AppQueue& TouchQueue(AppId app);
   void Pump();
   void OnComplete(const StorageCompletion& completion);
-  AppId BestPendingApp(bool exclude_sandboxed_owner) const;
-  double MinRecentCompetitorVtime(AppId owner) const;
   void DispatchFrom(AppId app);
   // Tracks a deferred Pump() wake-up so checkpoints can re-arm it; prunes
   // already-fired entries.
@@ -126,6 +134,9 @@ class StorageDriver : public ResourceDomain {
   StorageDriverConfig config_;
 
   std::map<AppId, AppQueue> queues_;
+  // Competitors active in the last 50 ms gate a sandboxed app's balloon
+  // (the accelerator drivers' repayment rule).
+  FairPick<AppQueue> pick_{50 * kMillisecond};
   std::unordered_map<uint64_t, Pending> in_flight_;
   uint64_t next_cmd_id_ = 1;
 

@@ -112,5 +112,77 @@ TEST(DomainRegistryTest, DriverForRejectsNonAccelerators) {
   EXPECT_DEATH(s.kernel.DriverFor(HwComponent::kWifi), "not an accelerator");
 }
 
+// The dispatch index of each command-queue domain holds live apps only:
+// once short-lived apps have submitted, completed and exited, and the
+// domain's recency window (50 ms for accelerators and storage, 200 ms for
+// WiFi) has passed, the next dispatch leaves only the app still running.
+Action SubmitOn(HwComponent hw) {
+  switch (hw) {
+    case HwComponent::kGpu:
+      return Action::SubmitAccel(hw, 1, kMillisecond, 0.5);
+    case HwComponent::kStorage:
+      return Action::StorageRead(64 * 1024);
+    default:
+      return Action::Send(2000);
+  }
+}
+
+Action WaitOn(HwComponent hw) {
+  switch (hw) {
+    case HwComponent::kGpu:
+      return Action::WaitAccel(1);
+    case HwComponent::kStorage:
+      return Action::WaitStorage(1);
+    default:
+      return Action::WaitNet();
+  }
+}
+
+size_t LiveApps(Kernel& kernel, HwComponent hw) {
+  switch (hw) {
+    case HwComponent::kGpu:
+      return kernel.gpu_driver().live_app_count();
+    case HwComponent::kStorage:
+      return kernel.storage_driver().live_app_count();
+    default:
+      return kernel.net().live_app_count();
+  }
+}
+
+TEST(DispatchIndexTest, ExitedAppsLeaveTheLiveSet) {
+  for (const HwComponent hw :
+       {HwComponent::kGpu, HwComponent::kStorage, HwComponent::kWifi}) {
+    SCOPED_TRACE(HwComponentName(hw));
+    TestStack s;
+    constexpr size_t kShortLived = 20;
+    std::vector<Task*> short_lived;
+    for (size_t i = 0; i < kShortLived; ++i) {
+      short_lived.push_back(s.SpawnScript(
+          "short" + std::to_string(i),
+          {SubmitOn(hw), WaitOn(hw), SubmitOn(hw), WaitOn(hw)}));
+    }
+    const AppId survivor = s.kernel.CreateApp("survivor");
+    s.kernel.SpawnTask(
+        survivor, "survivor",
+        std::make_unique<FnBehavior>([hw, phase = 0](TaskEnv&) mutable {
+          switch (phase++ % 3) {
+            case 0:
+              return SubmitOn(hw);
+            case 1:
+              return WaitOn(hw);
+            default:
+              return Action::Sleep(kMillisecond);
+          }
+        }));
+    s.kernel.RunUntil(Millis(5));
+    EXPECT_EQ(LiveApps(s.kernel, hw), kShortLived + 1);
+    s.kernel.RunUntil(Millis(800));
+    for (const Task* t : short_lived) {
+      EXPECT_EQ(t->state(), TaskState::kExited);
+    }
+    EXPECT_EQ(LiveApps(s.kernel, hw), 1u);
+  }
+}
+
 }  // namespace
 }  // namespace psbox

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/fleet/root_coordinator.h"
 #include "src/popgen/app_catalog.h"
 #include "src/popgen/board_population.h"
 #include "src/popgen/population_generator.h"
+#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 namespace {
@@ -212,6 +218,46 @@ TEST(PopulationFleetTest, AccountingBoundHoldsUnderPopulation) {
     ASSERT_NE(pop, nullptr);
     EXPECT_EQ(pop->AccountingViolations(0.10), 0u);
   }
+}
+
+// A population long enough that each board has seen hundreds of apps come
+// and go: the drivers' dispatch indexes, the accelerator governor's and the
+// CPU utilisation sample's per-window visits all run with a large dead
+// history behind them. The constants were captured from the code that
+// scanned every app ever seen, so any drift in which app is picked next, in
+// a governor step or in a utilisation double shows up here.
+TEST(PopulationFleetTest, LongHorizonRunIsPinned) {
+  constexpr uint64_t kFingerprint = 0xae2ef267dd71e262ull;
+  constexpr uint64_t kEventsFired = 27663;
+  constexpr uint32_t kCheckpointCrc = 0x709c017eu;
+  const FleetScenario scenario = PopulatedScenario(2, Seconds(4));
+  const std::string path = testing::TempDir() + "popgen_long_horizon.snap";
+  RootCoordinator fleet(scenario, 2);
+  // Root boundaries fall every 3 epochs: the one cut lands at 2.01 s.
+  fleet.set_checkpoint(path, 200);
+  const FleetStats stats = fleet.Run();
+  uint64_t events = 0;
+  uint64_t spawned = 0;
+  for (const FleetBoardStats& b : stats.boards) {
+    events += b.events_fired;
+    spawned += b.popgen_spawned;
+  }
+  EXPECT_GE(spawned, 400u);
+  EXPECT_EQ(stats.Fingerprint(), kFingerprint);
+  EXPECT_EQ(events, kEventsFired);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(SnapshotCrc32(bytes.data(), bytes.size()), kCheckpointCrc);
+
+  // The restored run rebuilds every driver index from the checkpoint and
+  // must land on the same fingerprint at another thread count.
+  std::string error;
+  auto restored =
+      RootCoordinator::RestoreFromCheckpoint(scenario, 1, path, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->Run().Fingerprint(), kFingerprint);
 }
 
 }  // namespace
